@@ -11,18 +11,12 @@
 //
 //	phctl -addr 127.0.0.1:7001 [device|services|neighborhood|devices|digest|all]
 //	phctl -addr 127.0.0.1:7001 watch [event-type ...]
-//	phctl -addr 127.0.0.1:7001 [-cells] stats [prefix]
-//	phctl -addr 127.0.0.1:7001 cells
+//	phctl -addr 127.0.0.1:7001 stats [prefix]
 //	phctl -addr 127.0.0.1:7001 [-tail n] trace
 //
 // The stats subcommand fetches the daemon's telemetry registry snapshot
 // (STATS_REQUEST) and prints one Prometheus-style series per line,
-// optionally filtered to names starting with prefix. With -cells (or as
-// the standalone cells subcommand) it additionally fetches the
-// hierarchical neighbourhood view (a ScopeAggregate NEIGHBORHOOD_SYNC_
-// REQUEST) and summarises the responder's per-cell aggregate digests:
-// population, technology mix, best route quality, and cell hash, with the
-// XOR check tying the cells back to the flat table digest. The trace subcommand
+// optionally filtered to names starting with prefix. The trace subcommand
 // subscribes to the daemon's span stream (TRACE_SUBSCRIBE), replays the
 // last -tail recorded spans, and tails new ones as handover / sync /
 // reconnect lifecycles complete.
@@ -60,7 +54,6 @@ func main() {
 	addr := flag.String("addr", "", "daemon host:port (required)")
 	timeout := flag.Duration("timeout", 5*time.Second, "dial/read timeout")
 	tail := flag.Uint("tail", 32, "spans to replay before tailing (trace)")
-	cellsFlag := flag.Bool("cells", false, "with stats: also summarise per-cell aggregate digests")
 	flag.Parse()
 	if *addr == "" {
 		fmt.Fprintln(os.Stderr, "phctl: -addr is required")
@@ -84,17 +77,6 @@ func main() {
 			prefix = flag.Arg(1)
 		}
 		if err := stats(*addr, *timeout, prefix); err != nil {
-			log.Fatal(err)
-		}
-		if *cellsFlag {
-			if err := cells(*addr, *timeout); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
-	}
-	if what == "cells" {
-		if err := cells(*addr, *timeout); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -325,52 +307,6 @@ func stats(addr string, timeout time.Duration, prefix string) error {
 
 // formatStat renders counters as integers and everything else in the
 // shortest float form, matching Prometheus text conventions.
-// cells fetches the hierarchical neighbourhood view over the wire — the
-// same ScopeAggregate exchange hierarchical discoverers open with — and
-// renders one line per occupied aggregation cell.
-func cells(addr string, timeout time.Duration) error {
-	conn, err := dialPort(addr, device.PortDaemon, timeout)
-	if err != nil {
-		return fmt.Errorf("dialing daemon: %w", err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if err := phproto.Write(conn, &phproto.NeighborhoodSyncRequest{
-		Flags: phproto.SyncFlagSiblings,
-		Scope: phproto.ScopeAggregate,
-	}); err != nil {
-		return fmt.Errorf("requesting aggregate view: %w", err)
-	}
-	agg, err := phproto.ReadExpect[*phproto.NeighborhoodAggregate](conn)
-	if err != nil {
-		return fmt.Errorf("reading aggregate view (daemon predates hierarchical sync?): %w", err)
-	}
-	fmt.Printf("aggregate view (%d cells of %d, %d entries, gen %d):\n",
-		len(agg.Cells), phproto.NumAggCells, agg.DigestCount, agg.Gen)
-	fmt.Printf("  %4s %7s %-20s %6s  %-16s\n", "CELL", "COUNT", "TECHS", "BEST", "HASH")
-	var hash uint64
-	for _, cs := range agg.Cells {
-		techs := ""
-		for _, tech := range device.Techs() {
-			if cs.TechMask&(1<<uint8(tech)) == 0 {
-				continue
-			}
-			if techs != "" {
-				techs += ","
-			}
-			techs += tech.String()
-		}
-		hash ^= cs.Hash
-		fmt.Printf("  %4d %7d %-20s %6d  %016x\n", cs.Cell, cs.Count, techs, cs.BestQuality, cs.Hash)
-	}
-	check := "OK"
-	if hash != agg.DigestHash {
-		check = fmt.Sprintf("MISMATCH (cells %016x)", hash)
-	}
-	fmt.Printf("  table hash: %016x  cell XOR check: %s\n", agg.DigestHash, check)
-	return nil
-}
-
 func formatStat(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return strconv.FormatInt(int64(v), 10)

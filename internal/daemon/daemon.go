@@ -479,13 +479,6 @@ func (d *Daemon) serveInfo(p plugin.Plugin, conn plugin.Conn) {
 			}
 		case *phproto.NeighborhoodSyncRequest:
 			resp = d.neighborhoodSync(req)
-			if resp == nil {
-				// Scoped request we do not serve (identity disabled, scope
-				// unknown, or cell out of range): present exactly as a
-				// legacy daemon and hang up, so the fetcher falls back to
-				// the flat exchange.
-				return
-			}
 		case *phproto.StatsRequest:
 			if d.cfg.DisableIntrospection {
 				// Present exactly as a legacy daemon: hang up.
@@ -530,52 +523,14 @@ func (d *Daemon) statsSnapshot(prefix string) *phproto.Stats {
 // into a wasted resync. With epoch 0 the fetcher keeps taking FULL tables
 // while the penalty lasts and re-establishes delta sync on the first
 // unpenalised fetch.
-func (d *Daemon) neighborhoodSync(req *phproto.NeighborhoodSyncRequest) phproto.Message {
+func (d *Daemon) neighborhoodSync(req *phproto.NeighborhoodSyncRequest) *phproto.NeighborhoodSync {
 	wantSiblings := req.Flags&phproto.SyncFlagSiblings != 0 && !d.cfg.DisableIdentity
 	if d.cfg.LoadPenalty != nil && d.cfg.LoadPenalty() > 0 {
 		entries := d.advertisedEntries()
 		if !wantSiblings {
 			entries = phproto.StripSiblings(entries)
 		}
-		// A scoped fetcher receiving this flat answer treats it as
-		// "responder declined the scope this round" and merges it whole.
 		return phproto.FullSync(0, 0, entries)
-	}
-	if req.Scope != phproto.ScopeTable {
-		// The hierarchical views render the extended entry forms the table
-		// digest is computed over; a fetcher that did not negotiate them
-		// (or a daemon posing as pre-identity) gets the legacy treatment —
-		// nil here makes serveInfo hang up and the fetcher fall back.
-		if !wantSiblings {
-			return nil
-		}
-		switch req.Scope {
-		case phproto.ScopeAggregate:
-			cells, dg := d.store.CellSummaries()
-			d.reg.Counter(`peerhood_daemon_scoped_syncs_total{scope="aggregate"}`).Inc()
-			return &phproto.NeighborhoodAggregate{
-				Epoch:       dg.Epoch,
-				Gen:         dg.Gen,
-				Cells:       cells,
-				DigestCount: uint32(dg.Entries),
-				DigestHash:  dg.Hash,
-			}
-		case phproto.ScopeCell:
-			if req.Cell >= phproto.NumAggCells {
-				return nil
-			}
-			entries, hash, dg := d.store.CellEntries(req.Cell)
-			d.reg.Counter(`peerhood_daemon_scoped_syncs_total{scope="cell"}`).Inc()
-			return &phproto.NeighborhoodCell{
-				Cell:    req.Cell,
-				Epoch:   dg.Epoch,
-				Gen:     dg.Gen,
-				Entries: entries,
-				Hash:    hash,
-			}
-		default:
-			return nil
-		}
 	}
 	// The storage decides strip-vs-sync for non-capable fetchers under one
 	// lock: a sibling-free table keeps the normal versioned answer

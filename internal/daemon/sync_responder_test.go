@@ -164,117 +164,47 @@ func TestNeighborhoodSyncUnderLoadPenalty(t *testing.T) {
 	}
 }
 
-// TestServeScopedAggregate drives the hierarchical exchange against a live
-// daemon: the aggregate view's cells must partition the flat table — the
-// cell hashes XOR to the table digest, the counts sum to its entry count —
-// and refining every cell must reproduce the table row for row.
-func TestServeScopedAggregate(t *testing.T) {
-	w := phtest.InstantWorld(t, 34)
-	a := phtest.AddNode(t, w, "a", geo.Pt(0, 0), device.Static)
-	b := phtest.AddNode(t, w, "b", geo.Pt(3, 0), device.Dynamic)
-	c := phtest.AddNode(t, w, "c", geo.Pt(6, 0), device.Dynamic)
-	phtest.RunRounds([]*phtest.Node{a, b, c}, 2)
-
-	conn, err := a.Plugin.Dial(b.Addr(), device.PortDaemon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	if err := phproto.Write(conn, &phproto.NeighborhoodSyncRequest{
-		Flags: phproto.SyncFlagSiblings, Scope: phproto.ScopeAggregate,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	agg, err := phproto.ReadExpect[*phproto.NeighborhoodAggregate](conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := b.Daemon.Storage().Digest()
-	if agg.Epoch != want.Epoch || agg.Gen != want.Gen || agg.DigestHash != want.Hash {
-		t.Fatalf("aggregate header %+v != storage digest %+v", agg, want)
-	}
-	var count uint32
-	var hash uint64
-	for _, cs := range agg.Cells {
-		count += cs.Count
-		hash ^= cs.Hash
-	}
-	if count != agg.DigestCount || hash != agg.DigestHash {
-		t.Fatalf("cells sum to (n=%d h=%x), digest says (n=%d h=%x)", count, hash, agg.DigestCount, agg.DigestHash)
-	}
-
-	// Refine every cell on the same connection; the union must be the
-	// whole table.
-	total := 0
-	for _, cs := range agg.Cells {
-		if err := phproto.Write(conn, &phproto.NeighborhoodSyncRequest{
-			Flags: phproto.SyncFlagSiblings, Scope: phproto.ScopeCell, Cell: cs.Cell,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		cell, err := phproto.ReadExpect[*phproto.NeighborhoodCell](conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cell.Cell != cs.Cell || cell.Hash != cs.Hash {
-			t.Fatalf("cell %d answered (cell=%d hash=%x), aggregate advertised hash %x",
-				cs.Cell, cell.Cell, cell.Hash, cs.Hash)
-		}
-		var h uint64
-		for _, en := range cell.Entries {
-			if phproto.CellOf(en.Info.Addr) != cs.Cell {
-				t.Fatalf("row %v served in cell %d, hashes to %d", en.Info.Addr, cs.Cell, phproto.CellOf(en.Info.Addr))
-			}
-			h ^= en.Hash()
-		}
-		if h != cell.Hash {
-			t.Fatalf("cell %d rows hash to %x, frame advertises %x", cs.Cell, h, cell.Hash)
-		}
-		total += len(cell.Entries)
-	}
-	if total != want.Entries {
-		t.Fatalf("cells carried %d rows in total, table has %d", total, want.Entries)
-	}
-}
-
-// TestScopedSyncWithoutSiblingsHangsUp: the hierarchical views render the
-// extended entry forms, so a scoped request without the siblings
-// capability gets the legacy treatment — the daemon hangs up and the
-// fetcher is expected to fall back to the flat exchange.
-func TestScopedSyncWithoutSiblingsHangsUp(t *testing.T) {
+// TestScopedSyncRequestHangsUp: the two bytes that once followed a sync
+// request's Flags (a sync scope) are retired, so a 19-byte scoped request
+// fails to decode and the daemon hangs up — with or without the siblings
+// capability — while a flat fetch on a fresh connection is still served a
+// populated FULL.
+func TestScopedSyncRequestHangsUp(t *testing.T) {
 	w := phtest.InstantWorld(t, 35)
 	a := phtest.AddNode(t, w, "a", geo.Pt(0, 0), device.Static)
 	b := phtest.AddNode(t, w, "b", geo.Pt(3, 0), device.Dynamic)
 	phtest.RunRounds([]*phtest.Node{a, b}, 1)
 
-	conn, err := a.Plugin.Dial(b.Addr(), device.PortDaemon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := phproto.Write(conn, &phproto.NeighborhoodSyncRequest{Scope: phproto.ScopeAggregate}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := phproto.Read(conn); err == nil {
-		t.Fatalf("sibling-less scoped request answered with %v, want a hang-up", msg.Cmd())
-	}
+	for _, flags := range []uint8{0, phproto.SyncFlagSiblings} {
+		conn, err := a.Plugin.Dial(b.Addr(), device.PortDaemon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := []byte{byte(phproto.CmdNeighborhoodSyncRequest), 0, 0, 0, 19}
+		frame = append(frame, make([]byte, 16)...) // epoch 0, gen 0
+		frame = append(frame, flags, 1, 0)         // flags, scope, cell
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if msg, err := phproto.Read(conn); err == nil {
+			t.Fatalf("scoped request (flags %#x) answered with %v, want a hang-up", flags, msg.Cmd())
+		}
+		_ = conn.Close()
 
-	// The flat exchange on a fresh connection still serves the full
-	// snapshot — flagless fetchers are unaffected by the scope extension.
-	conn2, err := a.Plugin.Dial(b.Addr(), device.PortDaemon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	if err := phproto.Write(conn2, &phproto.NeighborhoodSyncRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	full, err := phproto.ReadExpect[*phproto.NeighborhoodSync](conn2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Full || len(full.Entries) == 0 {
-		t.Fatalf("flagless fetch after a scoped hang-up answered %+v, want a populated FULL", full)
+		conn2, err := a.Plugin.Dial(b.Addr(), device.PortDaemon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := phproto.Write(conn2, &phproto.NeighborhoodSyncRequest{Flags: flags}); err != nil {
+			t.Fatal(err)
+		}
+		full, err := phproto.ReadExpect[*phproto.NeighborhoodSync](conn2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !full.Full || len(full.Entries) == 0 {
+			t.Fatalf("flat fetch (flags %#x) after a scoped hang-up answered %+v, want a populated FULL", flags, full)
+		}
+		_ = conn2.Close()
 	}
 }

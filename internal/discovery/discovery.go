@@ -65,19 +65,6 @@ type Config struct {
 	// identity plane.
 	DisableIdentity bool
 
-	// Hierarchical switches neighbourhood fetches to the aggregate/refine
-	// exchange: full rows are mirrored only for the best MaxLocalCells
-	// aggregation cells of each peer's table, the far field is remembered
-	// as per-cell digests, and distant cells are refined on demand
-	// (RefineCell). Per-peer state is then O(local rows + NumAggCells)
-	// instead of O(peer table). Ignored when DisableIdentity or
-	// DisableDeltaSync is set; peers that hang up on the scoped request
-	// fall back to the flat exchange like any other legacy peer.
-	Hierarchical bool
-	// MaxLocalCells caps how many cells are held as full rows per peer in
-	// hierarchical mode; zero means 8.
-	MaxLocalCells int
-
 	// Bus, if set, receives DeviceAppeared when a never-before-stored
 	// device is successfully fetched and DeviceLost when the aging sweep
 	// removes one — the discovery half of the neighbourhood event feed.
@@ -111,13 +98,9 @@ type RoundReport struct {
 	// Removed lists devices aged out this round.
 	Removed []device.Addr
 	// DeltaFetches and FullFetches split the successful fetches by sync
-	// mode; legacy exchanges count as full. AggregateFetches counts
-	// hierarchical (aggregate/refine) fetches, with CellsRefined the cell
-	// fetches they performed.
-	DeltaFetches     int
-	FullFetches      int
-	AggregateFetches int
-	CellsRefined     int
+	// mode; legacy exchanges count as full.
+	DeltaFetches int
+	FullFetches  int
 	// SyncBytes counts the wire bytes read and written on this round's
 	// fetch connections — the traffic the delta handshake exists to shrink.
 	SyncBytes int64
@@ -148,8 +131,6 @@ type Discoverer struct {
 	roundsCtr    *telemetry.Counter
 	fetchesFull  *telemetry.Counter
 	fetchesDelta *telemetry.Counter
-	fetchesAgg   *telemetry.Counter
-	cellRefines  *telemetry.Counter
 	fetchErrs    *telemetry.Counter
 	syncBytes    *telemetry.Counter
 	roundBytes   *telemetry.Gauge
@@ -185,23 +166,13 @@ type peerSync struct {
 	// report the same values can skip the refresh scan entirely.
 	lastQuality  int
 	lastMobility device.Mobility
-
-	// Hierarchical-mode state: hier marks that hashes shadows only the
-	// refined (local) cells; cellHash is the verified per-cell XOR hash of
-	// each locally mirrored cell; far remembers the last aggregate summary
-	// of every occupied cell we do not mirror. All empty in flat mode.
-	hier     bool
-	cellHash map[uint8]uint64
-	far      map[uint8]phproto.CellSummary
 }
 
 // syncResult is one fetched neighbourhood, ready to merge.
 type syncResult struct {
 	full       bool
-	aggregate  bool
 	entries    []phproto.NeighborEntry
 	tombstones []device.Addr
-	refined    int
 }
 
 // apply folds a sync response into the shadow. It returns false when the
@@ -273,9 +244,6 @@ func New(cfg Config) *Discoverer {
 		// The pre-thesis baseline predates the sync handshake too.
 		cfg.DisableDeltaSync = true
 	}
-	if cfg.MaxLocalCells <= 0 {
-		cfg.MaxLocalCells = 8
-	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(cfg.Plugin.Addr().String()))
 	r := cfg.Registry
@@ -286,8 +254,6 @@ func New(cfg Config) *Discoverer {
 		roundsCtr:    r.Counter(`peerhood_discovery_rounds_total`),
 		fetchesFull:  r.Counter(`peerhood_discovery_fetches_total{kind="full"}`),
 		fetchesDelta: r.Counter(`peerhood_discovery_fetches_total{kind="delta"}`),
-		fetchesAgg:   r.Counter(`peerhood_discovery_fetches_total{kind="aggregate"}`),
-		cellRefines:  r.Counter(`peerhood_discovery_cells_refined_total`),
 		fetchErrs:    r.Counter(`peerhood_discovery_fetch_errors_total`),
 		syncBytes:    r.Counter(`peerhood_discovery_sync_bytes_total`),
 		roundBytes:   r.Gauge(`peerhood_discovery_sync_bytes_round`),
@@ -372,16 +338,9 @@ func (d *Discoverer) RunRound() RoundReport {
 			d.cfg.Tracer.End(sp, "full")
 			m = d.cfg.Store.MergeNeighborhood(r.Addr, r.Quality, sr.entries)
 		} else {
-			if sr.aggregate {
-				rep.AggregateFetches++
-				rep.CellsRefined += sr.refined
-				d.fetchesAgg.Inc()
-				d.cfg.Tracer.End(sp, "aggregate")
-			} else {
-				rep.DeltaFetches++
-				d.fetchesDelta.Inc()
-				d.cfg.Tracer.End(sp, "delta")
-			}
+			rep.DeltaFetches++
+			d.fetchesDelta.Inc()
+			d.cfg.Tracer.End(sp, "delta")
 			// The delta only carries the peer's changes; our own link to
 			// the peer (and its mobility class) may have drifted since the
 			// rows were merged. The refresh scan is skipped when neither
@@ -433,9 +392,6 @@ func (d *Discoverer) RunRound() RoundReport {
 	d.mu.Unlock()
 	d.roundsCtr.Inc()
 	d.syncBytes.Add(uint64(rep.SyncBytes))
-	// The per-round series the memory-flat work sizes against: with the
-	// hierarchical exchange, this tracks O(local cells + changed far
-	// cells), not neighbourhood population.
 	d.roundBytes.Set(rep.SyncBytes)
 	return rep
 }
@@ -534,16 +490,7 @@ func (d *Discoverer) fetchPeer(to device.Addr, rep *RoundReport) (device.Info, s
 		info, nb, err := d.fetchFull(to, rep)
 		return info, syncResult{full: true, entries: nb}, err
 	}
-	var (
-		info device.Info
-		sr   syncResult
-		err  error
-	)
-	if d.cfg.Hierarchical && !d.cfg.DisableIdentity {
-		info, sr, err = d.fetchHierarchical(to, ps, rep)
-	} else {
-		info, sr, err = d.fetchVersioned(to, ps, rep)
-	}
+	info, sr, err := d.fetchVersioned(to, ps, rep)
 	if err == nil || !errors.Is(err, errSyncUnsupported) {
 		return info, sr, err
 	}

@@ -33,10 +33,6 @@ type fetchScript struct {
 	store *storage.Storage
 	// sync, when set, overrides the sync answer (protocol-fault injection).
 	sync func(*phproto.NeighborhoodSyncRequest) *phproto.NeighborhoodSync
-	// scopeless, when set, makes the store-backed responder behave like a
-	// daemon predating the hierarchical exchange: it hangs up on scoped
-	// sync requests (a legacy decoder rejects the trailing bytes).
-	scopeless bool
 }
 
 var _ plugin.Plugin = (*fakePlugin)(nil)
@@ -102,28 +98,6 @@ func serveScript(c plugin.Conn, s fetchScript) {
 			switch {
 			case s.sync != nil:
 				_ = phproto.Write(c, s.sync(req))
-			case s.store != nil && req.Scope != phproto.ScopeTable:
-				// Mirror the daemon's scoped responder: a pre-scope or
-				// sibling-less exchange presents as a legacy hang-up.
-				if s.scopeless || req.Flags&phproto.SyncFlagSiblings == 0 {
-					return
-				}
-				switch req.Scope {
-				case phproto.ScopeAggregate:
-					cells, dg := s.store.CellSummaries()
-					_ = phproto.Write(c, &phproto.NeighborhoodAggregate{
-						Epoch: dg.Epoch, Gen: dg.Gen, Cells: cells,
-						DigestCount: uint32(dg.Entries), DigestHash: dg.Hash,
-					})
-				case phproto.ScopeCell:
-					entries, hash, dg := s.store.CellEntries(req.Cell)
-					_ = phproto.Write(c, &phproto.NeighborhoodCell{
-						Cell: req.Cell, Epoch: dg.Epoch, Gen: dg.Gen,
-						Entries: entries, Hash: hash,
-					})
-				default:
-					return
-				}
 			case s.store != nil:
 				_ = phproto.Write(c, s.store.SyncResponse(req.Epoch, req.Gen, req.Flags&phproto.SyncFlagSiblings != 0))
 			default:

@@ -2,6 +2,8 @@ package phproto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -88,6 +90,8 @@ func TestNeighborhoodAlwaysLegacyForm(t *testing.T) {
 // TestSyncRequestFlagCompat: the capability byte is a trailing optional —
 // a 16-byte pre-identity request decodes with Flags 0, a zero-flag request
 // encodes to exactly those 16 bytes, and a flagged request round-trips.
+// The retired scope bytes after Flags are not: a 19-byte scoped request is
+// malformed.
 func TestSyncRequestFlagCompat(t *testing.T) {
 	var legacy bytes.Buffer
 	if err := Write(&legacy, &NeighborhoodSyncRequest{Epoch: 7, Gen: 9}); err != nil {
@@ -108,6 +112,14 @@ func TestSyncRequestFlagCompat(t *testing.T) {
 	got := roundTrip(t, &NeighborhoodSyncRequest{Epoch: 7, Gen: 9, Flags: SyncFlagSiblings}).(*NeighborhoodSyncRequest)
 	if got.Flags != SyncFlagSiblings {
 		t.Fatalf("flags lost: %+v", got)
+	}
+
+	scoped := []byte{byte(CmdNeighborhoodSyncRequest), 0, 0, 0, 19}
+	scoped = binary.BigEndian.AppendUint64(scoped, 7)
+	scoped = binary.BigEndian.AppendUint64(scoped, 9)
+	scoped = append(scoped, SyncFlagSiblings, 1, 0) // flags, scope, cell
+	if m, err := Read(bytes.NewReader(scoped)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("scoped request: got %v, %v; want ErrMalformed", m, err)
 	}
 }
 

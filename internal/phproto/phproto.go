@@ -82,14 +82,9 @@ const (
 	// CmdResumeAck answers a PH_RESUME with the responder's own receive
 	// position (the resume offset the client retransmits from).
 	CmdResumeAck
-	// CmdNeighborhoodAggregate answers a ScopeAggregate sync request with
-	// the per-cell aggregate view of the responder's table
-	// (NEIGHBORHOOD_AGGREGATE). Legacy daemons close the connection on the
-	// scoped request; callers fall back to the flat exchange.
-	CmdNeighborhoodAggregate
-	// CmdNeighborhoodCell answers a ScopeCell sync request with one cell's
-	// full rows (NEIGHBORHOOD_CELL).
-	CmdNeighborhoodCell
+	// Values 21 and 22 are retired; never reassign them.
+	_
+	_
 )
 
 // String implements fmt.Stringer.
@@ -135,10 +130,6 @@ func (c Command) String() string {
 		return "PH_RESUME"
 	case CmdResumeAck:
 		return "PH_RESUME_ACK"
-	case CmdNeighborhoodAggregate:
-		return "NEIGHBORHOOD_AGGREGATE"
-	case CmdNeighborhoodCell:
-		return "NEIGHBORHOOD_CELL"
 	default:
 		return fmt.Sprintf("cmd(%d)", uint8(c))
 	}
@@ -607,10 +598,6 @@ func newMessage(cmd Command) (Message, error) {
 		return &HelloResume{}, nil
 	case CmdResumeAck:
 		return &ResumeAck{}, nil
-	case CmdNeighborhoodAggregate:
-		return &NeighborhoodAggregate{}, nil
-	case CmdNeighborhoodCell:
-		return &NeighborhoodCell{}, nil
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCommand, uint8(cmd))
 	}

@@ -34,14 +34,9 @@ type NeighborhoodSyncRequest struct {
 	// Flags carries the fetcher's capability bits. It is a trailing
 	// optional byte: requests from peers that predate it decode with
 	// Flags 0, and a zero Flags encodes byte-identically to them.
+	// The two bytes after Flags are retired: a request carrying them
+	// fails to decode.
 	Flags uint8
-	// Scope selects the answer shape (see ScopeTable/ScopeAggregate/
-	// ScopeCell); Cell names the cell a ScopeCell request refines. They are
-	// a second trailing-optional extension after Flags: a zero Scope
-	// encodes byte-identically to scope-less requests, and a non-zero one
-	// forces Flags onto the wire so field order is preserved.
-	Scope uint8
-	Cell  uint8
 }
 
 // Cmd implements Message.
@@ -50,12 +45,8 @@ func (*NeighborhoodSyncRequest) Cmd() Command { return CmdNeighborhoodSyncReques
 func (m *NeighborhoodSyncRequest) encodeTo(e *encoder) {
 	e.u64(m.Epoch)
 	e.u64(m.Gen)
-	if m.Flags != 0 || m.Scope != 0 {
+	if m.Flags != 0 {
 		e.u8(m.Flags)
-	}
-	if m.Scope != 0 {
-		e.u8(m.Scope)
-		e.u8(m.Cell)
 	}
 }
 
@@ -64,10 +55,6 @@ func (m *NeighborhoodSyncRequest) decodeFrom(d *decoder) error {
 	m.Gen = d.u64()
 	if d.err == nil && d.off < len(d.buf) {
 		m.Flags = d.u8()
-	}
-	if d.err == nil && d.off < len(d.buf) {
-		m.Scope = d.u8()
-		m.Cell = d.u8()
 	}
 	return d.err
 }
