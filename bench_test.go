@@ -100,7 +100,7 @@ func BenchmarkStorageMergeNeighborhood(b *testing.B) {
 			QualityMin: uint8(200 + i%50),
 		}
 	}
-	st.MergeNeighborhood(bridge, 240, entries) // warm: scratch, arena, journal
+	st.MergeNeighborhood(bridge, 240, entries) // warm: scratch, arena, cached rows
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,10 +124,11 @@ func BenchmarkStorageWireEntries(b *testing.B) {
 	}
 }
 
-// BenchmarkStorageWireEntriesSince measures producing a delta (a handful of
-// changed rows) against producing the full table from the same 128-entry
-// storage — the responder-side cost the versioned sync trades.
-func BenchmarkStorageWireEntriesSince(b *testing.B) {
+// BenchmarkStorageSyncResponse measures the responder's answer to a
+// versioned fetch from a 128-entry storage: a DELTA of the four rows that
+// changed since the fetcher's generation, and the FULL table a first
+// contact gets. Both copy cached row bytes; neither renders an entry.
+func BenchmarkStorageSyncResponse(b *testing.B) {
 	st := storage.New(storage.Config{})
 	for i := 0; i < 128; i++ {
 		st.UpsertDirect(device.Info{
@@ -142,14 +143,23 @@ func BenchmarkStorageWireEntriesSince(b *testing.B) {
 			Addr: device.Addr{Tech: device.TechBluetooth, MAC: fmt.Sprintf("m%03d", i)},
 		}, 190)
 	}
-	st.WireEntriesSince(since) // warm the responder's scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		delta, _, ok := st.WireEntriesSince(since)
-		if !ok || len(delta.Entries) != 4 {
-			b.Fatalf("delta = %+v, %v", delta, ok)
-		}
+	epoch := st.Digest().Epoch
+	for _, c := range []struct {
+		name  string
+		epoch uint64
+		rows  int
+	}{{"delta", epoch, 4}, {"full", 0, 128}} {
+		b.Run(c.name, func(b *testing.B) {
+			st.SyncResponse(c.epoch, since, true) // warm the responder's scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp := st.SyncResponse(c.epoch, since, true)
+				if resp.Rows.Len() != c.rows {
+					b.Fatalf("%s answer carries %d rows, want %d", c.name, resp.Rows.Len(), c.rows)
+				}
+			}
+		})
 	}
 }
 

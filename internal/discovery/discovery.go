@@ -175,17 +175,19 @@ type syncResult struct {
 	tombstones []device.Addr
 }
 
-// apply folds a sync response into the shadow. It returns false when the
-// response does not continue this state (wrong epoch or generation) or when
-// the reconstructed digest misses the advertised one — the caller must then
-// resync with a full fetch.
+// apply folds a sync response into the shadow, fingerprinting each row by
+// the bytes it arrived in (NeighborhoodSync.EntryHash), so verification
+// re-encodes nothing. It returns false when the response does not continue
+// this state (wrong epoch or generation) or when the reconstructed digest
+// misses the advertised one — the caller must then resync with a full
+// fetch.
 func (ps *peerSync) apply(resp *phproto.NeighborhoodSync) (syncResult, bool) {
 	if resp.Full {
 		ps.epoch, ps.gen = resp.Epoch, resp.ToGen
 		ps.hashes = make(map[device.Addr]uint64, len(resp.Entries))
 		ps.digest = 0
-		for _, en := range resp.Entries {
-			h := en.Hash()
+		for i, en := range resp.Entries {
+			h := resp.EntryHash(i)
 			ps.hashes[en.Info.Addr] = h
 			ps.digest ^= h
 		}
@@ -207,8 +209,8 @@ func (ps *peerSync) apply(resp *phproto.NeighborhoodSync) (syncResult, bool) {
 	if ps.hashes == nil || resp.Epoch != ps.epoch || resp.FromGen != ps.gen {
 		return syncResult{}, false
 	}
-	for _, en := range resp.Entries {
-		h := en.Hash()
+	for i, en := range resp.Entries {
+		h := resp.EntryHash(i)
 		if old, ok := ps.hashes[en.Info.Addr]; ok {
 			ps.digest ^= old
 		}

@@ -329,26 +329,41 @@ func (d *decoder) infoAny() device.Info {
 }
 
 func (d *decoder) neighborEntries() []NeighborEntry {
+	entries, _ := d.entryList(false)
+	return entries
+}
+
+// entryList decodes a counted entry list. With hashed it also returns
+// each entry's FNV-64a over the bytes the entry was decoded from.
+func (d *decoder) entryList(hashed bool) ([]NeighborEntry, []uint64) {
 	n := int(d.u16())
 	if d.err != nil {
-		return nil
+		return nil, nil
 	}
 	if n > MaxEntries {
 		d.failTooMany(n, "neighbourhood entries", MaxEntries)
-		return nil
+		return nil, nil
 	}
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make([]NeighborEntry, 0, n)
+	var hashes []uint64
+	if hashed {
+		hashes = make([]uint64, 0, n)
+	}
 	for i := 0; i < n; i++ {
+		start := d.off
 		en := d.neighborEntry()
 		if d.err != nil {
-			return nil
+			return nil, nil
 		}
 		out = append(out, en)
+		if hashed {
+			hashes = append(hashes, appendHash64(d.buf[start:d.off]))
+		}
 	}
-	return out
+	return out, hashes
 }
 
 func (d *decoder) addrs() []device.Addr {

@@ -112,6 +112,15 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decoding %v: %v", m.Cmd(), err)
 		}
+		// A sync row's hash, taken over the bytes it arrived in, is the
+		// hash of its canonical re-encoding: fetchers verify digests with it.
+		if ns, ok := m.(*NeighborhoodSync); ok {
+			for i, en := range ns.Entries {
+				if ns.EntryHash(i) != en.Hash() {
+					t.Fatalf("entry %d: received-bytes hash %x != Hash() %x", i, ns.EntryHash(i), en.Hash())
+				}
+			}
+		}
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("round trip changed %v:\n%#v\n%#v", m.Cmd(), m, m2)
 		}

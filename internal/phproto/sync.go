@@ -1,6 +1,8 @@
 package phproto
 
 import (
+	"slices"
+
 	"peerhood/internal/device"
 )
 
@@ -10,7 +12,8 @@ import (
 // responder answers with a DELTA — only the entries whose transmitted form
 // changed since that generation, plus tombstones for devices that left its
 // table — or falls back to FULL when it cannot cover the gap (first
-// contact, journal truncation, or a restart detected through the epoch).
+// contact, a request older than the responder's delta window, or a restart
+// detected through the epoch).
 // Legacy peers keep using CmdNeighborhood; both framings stay decodable.
 
 // Sync-request capability flags.
@@ -76,6 +79,10 @@ type NeighborhoodSync struct {
 	// Entries are the rows whose transmitted form changed in
 	// (FromGen, ToGen] — or the whole table when Full.
 	Entries []NeighborEntry
+	// Rows, when it holds any, is transmitted in place of Entries: the
+	// same rows, already encoded by a responder that caches each row's
+	// wire form (the storage). Decoding always fills Entries instead.
+	Rows Rows
 	// Tombstones lists devices that left the responder's table in
 	// (FromGen, ToGen].
 	Tombstones []device.Addr
@@ -84,10 +91,26 @@ type NeighborhoodSync struct {
 	// fall back to a full fetch on mismatch.
 	DigestCount uint32
 	DigestHash  uint64
+
+	// hashes holds, for a decoded message, the FNV-64a of the exact bytes
+	// each of Entries arrived in (see EntryHash).
+	hashes []uint64
 }
 
 // Cmd implements Message.
 func (*NeighborhoodSync) Cmd() Command { return CmdNeighborhoodSync }
+
+// EntryHash returns Entries[i].Hash(). A decoded message answers from the
+// bytes the row arrived in, hashed while decoding, so the fetcher verifies
+// a sync without re-encoding a single row; the two agree because the
+// decoder accepts only canonical entry encodings (FuzzDecode checks it).
+// A message built in process hashes its entry on demand.
+func (m *NeighborhoodSync) EntryHash(i int) uint64 {
+	if i < len(m.hashes) {
+		return m.hashes[i]
+	}
+	return m.Entries[i].Hash()
+}
 
 func (m *NeighborhoodSync) encodeTo(e *encoder) {
 	if m.Full {
@@ -98,7 +121,12 @@ func (m *NeighborhoodSync) encodeTo(e *encoder) {
 	e.u64(m.Epoch)
 	e.u64(m.FromGen)
 	e.u64(m.ToGen)
-	e.neighborEntries(m.Entries)
+	if m.Rows.n > 0 {
+		e.u16(uint16(m.Rows.n))
+		e.buf = append(e.buf, m.Rows.buf...)
+	} else {
+		e.neighborEntries(m.Entries)
+	}
 	e.addrs(m.Tombstones)
 	e.u32(m.DigestCount)
 	e.u64(m.DigestHash)
@@ -109,12 +137,43 @@ func (m *NeighborhoodSync) decodeFrom(d *decoder) error {
 	m.Epoch = d.u64()
 	m.FromGen = d.u64()
 	m.ToGen = d.u64()
-	m.Entries = d.neighborEntries()
+	m.Entries, m.hashes = d.entryList(true)
 	m.Tombstones = d.addrs()
 	m.DigestCount = d.u32()
 	m.DigestHash = d.u64()
 	return d.err
 }
+
+// Rows is a run of neighbourhood entries already in wire form, back to
+// back, each as AppendEntry renders it. The zero value is empty.
+type Rows struct {
+	buf []byte
+	n   int
+}
+
+// Grow makes room for n more bytes of rows.
+func (r *Rows) Grow(n int) { r.buf = slices.Grow(r.buf, n) }
+
+// Append adds one encoded row.
+func (r *Rows) Append(row []byte) {
+	r.buf = append(r.buf, row...)
+	r.n++
+}
+
+// Len returns the number of rows.
+func (r *Rows) Len() int { return r.n }
+
+// AppendEntry appends en's wire encoding — exactly the bytes a message
+// carrying en transmits for it — to dst.
+func AppendEntry(dst []byte, en NeighborEntry) []byte {
+	e := encoder{buf: dst}
+	e.neighborEntry(en)
+	return e.buf
+}
+
+// HashRow is the FNV-64a fingerprint of one encoded row: HashRow of
+// AppendEntry(nil, en) equals en.Hash().
+func HashRow(row []byte) uint64 { return appendHash64(row) }
 
 // FullSync builds a FULL NeighborhoodSync over the given entries, with the
 // digest computed over exactly what is transmitted (the daemon uses it when

@@ -51,6 +51,15 @@ func TestSyncMessagesRoundTrip(t *testing.T) {
 	}
 	for _, m := range msgs {
 		got := roundTrip(t, m)
+		if ns, ok := got.(*NeighborhoodSync); ok {
+			// Decoding records each row's hash over its received bytes.
+			for i, en := range ns.Entries {
+				if ns.EntryHash(i) != en.Hash() {
+					t.Errorf("entry %d: decoded hash %x, Hash() %x", i, ns.EntryHash(i), en.Hash())
+				}
+			}
+			ns.hashes = nil
+		}
 		if !reflect.DeepEqual(m, got) {
 			t.Errorf("%v round trip:\n sent %#v\n got  %#v", m.Cmd(), m, got)
 		}
@@ -113,5 +122,40 @@ func TestFullSyncDigestCoversTransmittedEntries(t *testing.T) {
 	count, hash := DigestOf(entries)
 	if !m.Full || m.Epoch != 5 || m.ToGen != 77 || m.DigestCount != count || m.DigestHash != hash {
 		t.Fatalf("FullSync = %+v", m)
+	}
+}
+
+// TestSyncRowsEncodeLikeEntries: a message carrying pre-encoded Rows must
+// put exactly the bytes on the wire that the same message carrying the
+// rendered Entries does, and decode back to those Entries.
+func TestSyncRowsEncodeLikeEntries(t *testing.T) {
+	entries := []NeighborEntry{sampleEntry("aa", 0), sampleEntry("bb", 2)}
+	entries[1].Info.Siblings = []device.Addr{{Tech: device.TechWLAN, MAC: "bb"}}
+	var rows Rows
+	for _, en := range entries {
+		row := AppendEntry(nil, en)
+		if HashRow(row) != en.Hash() {
+			t.Fatalf("HashRow(AppendEntry(%v)) != Hash()", en.Info.Addr)
+		}
+		rows.Append(row)
+	}
+	fromEntries := &NeighborhoodSync{Epoch: 7, FromGen: 90, ToGen: 99, Entries: entries, DigestCount: 2, DigestHash: 0xFEED}
+	fromRows := &NeighborhoodSync{Epoch: 7, FromGen: 90, ToGen: 99, Rows: rows, DigestCount: 2, DigestHash: 0xFEED}
+	var a, b bytes.Buffer
+	if err := Write(&a, fromEntries); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&b, fromRows); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("rows frame differs from entries frame:\n%x\n%x", b.Bytes(), a.Bytes())
+	}
+	got, err := ReadExpect[*NeighborhoodSync](&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Entries, entries) {
+		t.Fatalf("decoded %+v, want %+v", got.Entries, entries)
 	}
 }

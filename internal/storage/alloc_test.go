@@ -14,9 +14,10 @@ import (
 // (or delta) through these functions, so per-row garbage here scales with
 // neighbourhood density times round rate. The steady state — a neighbour
 // re-reporting rows we already hold — must not allocate at all: the
-// reported-set and coalescing scratch are reused, the route re-sort is an
-// in-place insertion sort, the wire-form fingerprint hashes through a
-// pooled encoder, and an unchanged descriptor skips the identity reindex.
+// reported-set scratch is reused, the route re-sort is an in-place
+// insertion sort, a row whose transmitted fields did not change is
+// compared with its cached encoding rather than re-encoded, and an
+// unchanged descriptor skips the identity reindex.
 const (
 	// mergeDeltaBudget: re-merging a delta whose rows we already hold.
 	mergeDeltaBudget = 0

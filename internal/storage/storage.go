@@ -38,9 +38,9 @@ const (
 	// DefaultMaxAlternates bounds the remembered candidate routes per
 	// device (one per distinct first hop).
 	DefaultMaxAlternates = 8
-	// DefaultJournalLimit bounds the change journal backing delta
-	// neighbourhood sync. A fetcher further behind than the journal covers
-	// is served a FULL table instead of a delta.
+	// DefaultJournalLimit bounds how many generations back delta
+	// neighbourhood sync reaches. A fetcher further behind is served a FULL
+	// table instead of a delta.
 	DefaultJournalLimit = 4096
 )
 
@@ -51,9 +51,9 @@ type Config struct {
 	MaxMissedLoops   int
 	MaxJumps         int
 	MaxAlternates    int
-	// JournalLimit bounds the change journal (in records) that backs
-	// WireEntriesSince. Older changes are forgotten; peers that far behind
-	// fall back to a full fetch.
+	// JournalLimit bounds the generations a delta may span. Past it the
+	// storage forgets the older half of its window (and the tombstones in
+	// it); peers behind that floor fall back to a full fetch.
 	JournalLimit int
 
 	// QualityFirst swaps the fig 3.13 comparison order to prefer link
@@ -123,6 +123,9 @@ type Route struct {
 // Direct reports whether the route is a direct link.
 func (r Route) Direct() bool { return r.Jumps == 0 }
 
+// isDirect is Direct without copying the route.
+func (r *Route) isDirect() bool { return r.Jumps == 0 }
+
 // String implements fmt.Stringer.
 func (r Route) String() string {
 	if r.Direct() {
@@ -162,6 +165,49 @@ type Entry struct {
 	// id caches Info.Identity() so the identity index stays consistent with
 	// the descriptor across partial updates.
 	id device.ID
+	// row caches the transmitted form while the entry is wire-visible. It
+	// is boxed so that the clones every public read makes stay small.
+	row *wireRow
+}
+
+// wireRow is an entry's transmitted row, rendered once per visible change
+// and reused for the table digest and every DELTA and FULL answer.
+type wireRow struct {
+	// en is the rendered form buf encodes. Its Info shares the entry's
+	// descriptor slices, which the storage replaces but never edits in
+	// place.
+	en phproto.NeighborEntry
+	// buf is en's wire encoding; empty while no row is current.
+	buf []byte
+	// hash is buf's FNV-64a (NeighborEntry.Hash of en).
+	hash uint64
+}
+
+// renderRow brings the entry's cached row up to date with its best route
+// and descriptor and reports whether the row changed. The entry must have
+// a route. An update that changes none of the transmitted fields — the
+// common re-report — costs a field comparison, not an encode and a hash.
+func (e *Entry) renderRow() bool {
+	en, _ := wireEntryOf(e)
+	if e.row == nil {
+		e.row = new(wireRow)
+	} else if len(e.row.buf) > 0 && sameRow(&e.row.en, &en) {
+		return false
+	}
+	e.row.en = en
+	e.row.buf = phproto.AppendEntry(e.row.buf[:0], en)
+	e.row.hash = phproto.HashRow(e.row.buf)
+	return true
+}
+
+// sameRow reports whether two rendered rows carry equal transmitted fields.
+func sameRow(a, b *phproto.NeighborEntry) bool {
+	return a.Jumps == b.Jumps && a.Bridge == b.Bridge &&
+		a.QualitySum == b.QualitySum && a.QualityMin == b.QualityMin &&
+		a.Info.Name == b.Info.Name && a.Info.Addr == b.Info.Addr &&
+		a.Info.Checksum == b.Info.Checksum && a.Info.Mobility == b.Info.Mobility &&
+		slices.Equal(a.Info.Services, b.Info.Services) &&
+		slices.Equal(a.Info.Siblings, b.Info.Siblings)
 }
 
 // Identity returns the entry's cross-interface device identity.
@@ -198,12 +244,31 @@ func (e *Entry) Best() (Route, bool) {
 
 // HasDirect reports whether a direct route exists.
 func (e *Entry) HasDirect() bool {
-	for _, r := range e.Routes {
-		if r.Direct() {
+	for i := range e.Routes {
+		if e.Routes[i].isDirect() {
 			return true
 		}
 	}
 	return false
+}
+
+// dropRoutes removes the routes drop selects, keeping the others in order,
+// and returns how many it removed. Routes are large, so kept ones move
+// only when a removal precedes them.
+func (e *Entry) dropRoutes(drop func(r *Route) bool) int {
+	kept := 0
+	for i := range e.Routes {
+		if drop(&e.Routes[i]) {
+			continue
+		}
+		if kept != i {
+			e.Routes[kept] = e.Routes[i]
+		}
+		kept++
+	}
+	n := len(e.Routes) - kept
+	e.Routes = e.Routes[:kept]
+	return n
 }
 
 func (e *Entry) clone() Entry {
@@ -211,6 +276,7 @@ func (e *Entry) clone() Entry {
 	out.Info = e.Info.Clone()
 	out.Routes = append([]Route(nil), e.Routes...)
 	out.evictedVia = append([]device.Addr(nil), e.evictedVia...)
+	out.row = nil
 	return out
 }
 
@@ -219,11 +285,13 @@ func (e *Entry) clone() Entry {
 //
 // The storage is versioned for delta neighbourhood sync: a monotonic
 // generation counter advances on every mutation that changes what peers
-// would receive over the wire, a bounded journal remembers which devices
-// changed at which generation (including removals, served as tombstones),
-// and a running digest fingerprints the whole transmitted table. Peers fetch
-// FULL once and then request only the changes since the generation they
-// last merged (WireEntriesSince / SyncResponse).
+// would receive over the wire, and a running digest fingerprints the whole
+// transmitted table. Each entry's row is encoded once per such change and
+// cached with its hash; every entry is stamped with the generation of its
+// last change, and a tombstone log remembers when devices left the table.
+// Peers fetch FULL once and then request only the changes since the
+// generation they last merged: the entries stamped after it plus the
+// tombstones logged after it, served as the cached bytes (SyncResponse).
 type Storage struct {
 	cfg   Config
 	epoch uint64
@@ -239,15 +307,18 @@ type Storage struct {
 
 	// gen is the generation of the last wire-visible mutation.
 	gen uint64
-	// wireHash fingerprints each wire-visible entry's transmitted form;
-	// digestHash is the XOR of all of them (phproto.DigestOf convention).
-	wireHash   map[device.Addr]uint64
+	// published lists the wire-visible entries in address order, each with
+	// the hash of the row peers last saw; digestHash is the XOR of those
+	// hashes (phproto.DigestOf convention).
+	published  []publishedRow
 	digestHash uint64
-	// journal records (generation, device) for every wire-visible change,
-	// oldest first. journalFloor is the highest generation the journal no
-	// longer covers: deltas can be served for any since-generation >= it.
-	journal      []journalRec
-	journalFloor uint64
+	// tombs maps each device that left the transmitted table to the
+	// generation it left at; a device that reappears leaves the log.
+	// floor is the oldest generation deltas still reach: they are served
+	// for any since-generation >= it. Tombstones at or below it are
+	// forgotten.
+	tombs map[device.Addr]uint64
+	floor uint64
 	// evicted collects bridges whose capacity-evicted route could have
 	// kept a just-removed device reachable. The loss is local — the
 	// bridge's own storage is unchanged, so its deltas would never
@@ -259,17 +330,16 @@ type Storage struct {
 	// neighbourhood to permanent full sync.
 	evicted map[device.Addr]bool
 
-	// scratch holds reusable buffers for the merge/delta hot paths, so a
+	// scratch holds reusable buffers for the merge/sync hot paths, so a
 	// steady-state discovery round performs no per-call map or slice
-	// allocations. All of it is guarded by mu — which is why the delta
-	// responders (WireEntriesSince, SyncResponse) take the write lock.
+	// allocations. All of it is guarded by mu — which is why the sync
+	// responder (SyncResponse) takes the write lock.
 	scratch struct {
 		reported map[device.Addr]bool // MergeNeighborhood's reported-set
-		touched  map[device.Addr]bool // deltaLocked's coalescing set
-		addrs    []device.Addr        // deltaLocked's sort buffer
+		rows     []*Entry             // changedSinceLocked's selection
 	}
-	// free recycles Entry boxes removed from the table, Routes and
-	// evictedVia backing arrays included, so churn — devices flapping in
+	// free recycles Entry boxes removed from the table, Routes, evictedVia
+	// and row backing arrays included, so churn — devices flapping in
 	// and out of coverage — does not box a fresh Entry per reappearance.
 	// Safe because no *Entry ever escapes the lock: every public API
 	// clones before returning.
@@ -291,11 +361,6 @@ type Storage struct {
 // peak forever).
 const maxFreeEntries = 512
 
-type journalRec struct {
-	gen  uint64
-	addr device.Addr
-}
-
 // epochSeq disambiguates storages created in the same wall-clock nanosecond
 // (simulated worlds create hundreds per second).
 var epochSeq atomic.Uint64
@@ -312,13 +377,13 @@ func newEpoch() uint64 {
 func New(cfg Config) *Storage {
 	cfg = cfg.withDefaults()
 	return &Storage{
-		cfg:      cfg,
-		epoch:    newEpoch(),
-		self:     make(map[device.Addr]bool),
-		entries:  make(map[device.Addr]*Entry),
-		ids:      make(map[device.ID]map[device.Addr]bool),
-		wireHash: make(map[device.Addr]uint64),
-		evicted:  make(map[device.Addr]bool),
+		cfg:     cfg,
+		epoch:   newEpoch(),
+		self:    make(map[device.Addr]bool),
+		entries: make(map[device.Addr]*Entry),
+		ids:     make(map[device.ID]map[device.Addr]bool),
+		tombs:   make(map[device.Addr]uint64),
+		evicted: make(map[device.Addr]bool),
 
 		mergesFull:      cfg.Registry.Counter(`peerhood_storage_merges_total{kind="full"}`),
 		mergesDelta:     cfg.Registry.Counter(`peerhood_storage_merges_total{kind="delta"}`),
@@ -488,7 +553,7 @@ func (s *Storage) FindService(name string) []ServiceProvider {
 	sort.SliceStable(out, func(i, j int) bool {
 		ri, _ := out[i].Entry.Best()
 		rj, _ := out[j].Entry.Best()
-		return s.better(ri, rj)
+		return s.better(&ri, &rj)
 	})
 	return out
 }
@@ -552,7 +617,7 @@ func (s *Storage) UpdateInfo(info device.Info) {
 	e.LastFetched = s.cfg.Clock.Now()
 	// Direct routes carry the target's own mobility; refresh it.
 	for i := range e.Routes {
-		if e.Routes[i].Direct() {
+		if e.Routes[i].isDirect() {
 			e.Routes[i].BridgeMobility = info.Mobility
 			e.Routes[i].MobilitySum = int(info.Mobility)
 		}
@@ -619,23 +684,14 @@ func (s *Storage) MergeNeighborhood(bridge device.Addr, bridgeQuality int, nb []
 
 	// Drop bridged routes the bridge stopped reporting.
 	for addr, e := range s.entries {
-		if !reported[addr] {
-			// The bridge no longer knows this device: a capacity-evicted
-			// via-bridge route is not recoverable from it either.
-			e.forgetEvictedVia(bridge)
+		if reported[addr] {
+			continue
 		}
-		changed := false
-		kept := e.Routes[:0]
-		for _, r := range e.Routes {
-			if r.Bridge == bridge && !reported[addr] {
-				changed = true
-				res.Removed++
-				continue
-			}
-			kept = append(kept, r)
-		}
-		e.Routes = kept
-		if changed {
+		// The bridge no longer knows this device: a capacity-evicted
+		// via-bridge route is not recoverable from it either.
+		e.forgetEvictedVia(bridge)
+		if n := e.dropRoutes(func(r *Route) bool { return r.Bridge == bridge }); n > 0 {
+			res.Removed += n
 			if len(e.Routes) == 0 {
 				s.removeEntryLocked(addr, e)
 			}
@@ -676,18 +732,8 @@ func (s *Storage) MergeNeighborhoodDelta(bridge device.Addr, bridgeQuality int, 
 		// The bridge lost this device: a capacity-evicted via-bridge route
 		// is not recoverable from it either.
 		e.forgetEvictedVia(bridge)
-		dropped := false
-		kept := e.Routes[:0]
-		for _, r := range e.Routes {
-			if r.Bridge == bridge {
-				dropped = true
-				res.Removed++
-				continue
-			}
-			kept = append(kept, r)
-		}
-		e.Routes = kept
-		if dropped {
+		if n := e.dropRoutes(func(r *Route) bool { return r.Bridge == bridge }); n > 0 {
+			res.Removed += n
 			if len(e.Routes) == 0 {
 				s.removeEntryLocked(addr, e)
 			}
@@ -728,7 +774,7 @@ func (s *Storage) RefreshBridgeLink(bridge device.Addr, quality int) {
 		changed := false
 		for i := range e.Routes {
 			r := &e.Routes[i]
-			if r.Direct() || r.Bridge != bridge {
+			if r.isDirect() || r.Bridge != bridge {
 				continue
 			}
 			sum := quality + r.RemoteQualitySum
@@ -840,33 +886,20 @@ func (s *Storage) AgeRound(tech device.Tech, responded map[device.Addr]bool) (re
 		if e.MissedLoops <= s.cfg.MaxMissedLoops {
 			continue
 		}
-		kept := e.Routes[:0]
-		for _, r := range e.Routes {
-			if r.Direct() {
-				continue
-			}
-			kept = append(kept, r)
-		}
-		e.Routes = kept
-		s.touchLocked(addr)
+		e.dropRoutes((*Route).isDirect)
 		lostBridges = append(lostBridges, addr)
 	}
 
 	// A device whose direct route vanished can no longer serve as our first
-	// hop: drop routes bridged through it.
-	for _, bridge := range lostBridges {
+	// hop: drop routes bridged through it. Each entry loses all such routes
+	// in one pass and is touched once, so how many generations the round
+	// takes does not depend on the map's iteration order.
+	if len(lostBridges) > 0 {
 		for addr, e := range s.entries {
-			dropped := false
-			kept := e.Routes[:0]
-			for _, r := range e.Routes {
-				if r.Bridge == bridge {
-					dropped = true
-					continue
-				}
-				kept = append(kept, r)
-			}
-			e.Routes = kept
-			if dropped {
+			dropped := e.dropRoutes(func(r *Route) bool {
+				return !r.isDirect() && slices.Contains(lostBridges, r.Bridge)
+			})
+			if dropped > 0 || slices.Contains(lostBridges, addr) {
 				s.touchLocked(addr)
 			}
 		}
@@ -892,14 +925,7 @@ func (s *Storage) RemoveDirect(a device.Addr) {
 	if !ok {
 		return
 	}
-	kept := e.Routes[:0]
-	for _, r := range e.Routes {
-		if r.Direct() {
-			continue
-		}
-		kept = append(kept, r)
-	}
-	e.Routes = kept
+	e.dropRoutes((*Route).isDirect)
 	if len(e.Routes) == 0 {
 		s.removeEntryLocked(a, e)
 	}
@@ -948,45 +974,72 @@ func wireEntryOf(e *Entry) (phproto.NeighborEntry, bool) {
 	}, true
 }
 
+// publishedRow is one wire-visible entry as peers last saw it. addr is
+// kept beside the entry because a removed entry's box is zeroed before
+// touchLocked unpublishes it.
+type publishedRow struct {
+	addr device.Addr
+	e    *Entry
+	hash uint64
+}
+
+// findPublishedLocked returns the index of addr's published row, or where
+// it would be inserted, and whether it is there.
+func (s *Storage) findPublishedLocked(addr device.Addr) (int, bool) {
+	i := sort.Search(len(s.published), func(i int) bool { return !s.published[i].addr.Less(addr) })
+	return i, i < len(s.published) && s.published[i].addr == addr
+}
+
 // Versioned delta sync.
 //
 // touchLocked is the single choke point every mutation above funnels
-// through: it re-fingerprints the device's transmitted form and, only if
-// that form actually changed, advances the generation, stamps the entry,
-// maintains the running table digest, and journals the change. A refresh
-// peers cannot observe — LastSeen, an identical re-reported route — leaves
-// the generation untouched, which is what makes a static neighbourhood's
-// deltas empty.
+// through: it re-renders the device's cached row and, only if that row
+// actually changed, advances the generation, stamps the entry, maintains
+// the running table digest and the tombstone log, and moves the delta
+// window's floor. A refresh peers cannot observe — LastSeen, an identical
+// re-reported route — leaves the generation untouched, which is what makes
+// a static neighbourhood's deltas empty.
 func (s *Storage) touchLocked(addr device.Addr) {
-	var newHash uint64
-	visible := false
-	if e, ok := s.entries[addr]; ok {
-		if en, ok := wireEntryOf(e); ok {
-			newHash = en.Hash()
-			visible = true
+	e, ok := s.entries[addr]
+	visible := ok && len(e.Routes) > 0
+	if visible {
+		if !e.renderRow() {
+			return // a current row is published under its own hash
 		}
+	} else if ok && e.row != nil {
+		e.row.buf = e.row.buf[:0]
 	}
-	old, had := s.wireHash[addr]
-	if visible == had && (!visible || old == newHash) {
+	i, had := s.findPublishedLocked(addr)
+	if visible == had && (!visible || s.published[i].hash == e.row.hash) {
 		return
 	}
 	s.gen++
 	if had {
-		s.digestHash ^= old
+		s.digestHash ^= s.published[i].hash
+	}
+	switch {
+	case visible && had:
+		s.published[i].e, s.published[i].hash = e, e.row.hash
+	case visible:
+		s.published = slices.Insert(s.published, i, publishedRow{addr: addr, e: e, hash: e.row.hash})
+	default:
+		s.published = slices.Delete(s.published, i, i+1)
+		s.tombs[addr] = s.gen
 	}
 	if visible {
-		s.digestHash ^= newHash
-		s.wireHash[addr] = newHash
-		s.entries[addr].Gen = s.gen
-	} else {
-		delete(s.wireHash, addr)
+		s.digestHash ^= e.row.hash
+		e.Gen = s.gen
+		delete(s.tombs, addr)
 	}
-	s.journal = append(s.journal, journalRec{gen: s.gen, addr: addr})
-	if len(s.journal) > s.cfg.JournalLimit {
-		// Forget the older half; peers behind the new floor get FULL.
-		drop := len(s.journal) / 2
-		s.journal = append(s.journal[:0], s.journal[drop:]...)
-		s.journalFloor = s.journal[0].gen - 1
+	if n := s.gen - s.floor; n > uint64(s.cfg.JournalLimit) {
+		// Forget the older half of the window; peers behind the new floor
+		// get FULL.
+		s.floor = s.gen - (n - n/2)
+		for a, g := range s.tombs {
+			if g <= s.floor {
+				delete(s.tombs, a)
+			}
+		}
 	}
 }
 
@@ -1013,99 +1066,44 @@ func (s *Storage) Digest() Digest {
 }
 
 func (s *Storage) digestLocked() Digest {
-	return Digest{Epoch: s.epoch, Gen: s.gen, Entries: len(s.wireHash), Hash: s.digestHash}
+	return Digest{Epoch: s.epoch, Gen: s.gen, Entries: len(s.published), Hash: s.digestHash}
 }
 
-// Delta is the changed slice of the transmitted table between two
-// generations.
-type Delta struct {
-	// FromGen/ToGen bound the covered change window (FromGen exclusive).
-	FromGen, ToGen uint64
-	// Entries holds the current transmitted form of every device whose
-	// wire row changed in the window.
-	Entries []phproto.NeighborEntry
-	// Tombstones lists devices that left the table in the window.
-	Tombstones []device.Addr
+// changedSinceLocked returns, in address order, the wire-visible entries
+// whose row changed after generation since (all of them for since 0). The
+// slice is the mu-guarded scratch, valid until the next call.
+func (s *Storage) changedSinceLocked(since uint64) []*Entry {
+	sel := s.scratch.rows[:0]
+	for _, p := range s.published {
+		if p.e.Gen > since {
+			sel = append(sel, p.e)
+		}
+	}
+	s.scratch.rows = sel
+	return sel
 }
 
-// WireEntriesSince returns the changes to the transmitted table since the
-// given generation, alongside the current digest. ok is false when the
-// journal no longer covers that far back (or the generation is from another
-// epoch's future) — the caller must fall back to WireEntries.
-//
-// It takes the write lock (not RLock): deltaLocked builds its coalescing
-// set and sort buffer in the mu-guarded scratch, which makes the common
-// "nothing changed" answer allocation-free. Responders serve one sync at a
-// time per connection, so the lost read-side sharing is noise next to the
-// per-request garbage it removes.
-func (s *Storage) WireEntriesSince(gen uint64) (Delta, Digest, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delta, ok := s.deltaLocked(gen)
-	return delta, s.digestLocked(), ok
-}
-
-func (s *Storage) deltaLocked(gen uint64) (Delta, bool) {
-	if gen < s.journalFloor || gen > s.gen {
-		return Delta{}, false
+// rowsOf copies the cached rows of sel, in order, into one buffer owned by
+// the returned value, so the answer stays valid after the lock is released
+// and the rows are re-rendered in place.
+func rowsOf(sel []*Entry) phproto.Rows {
+	size := 0
+	for _, e := range sel {
+		size += len(e.row.buf)
 	}
-	delta := Delta{FromGen: gen, ToGen: s.gen}
-	if gen == s.gen {
-		return delta, true
+	var rows phproto.Rows
+	rows.Grow(size)
+	for _, e := range sel {
+		rows.Append(e.row.buf)
 	}
-	// The journal is append-only in generation order: walk the suffix
-	// newer than gen and coalesce repeated changes to one row each —
-	// the device's *current* state (or a tombstone if it is gone).
-	// Both the coalescing set and the sort buffer live in the mu-guarded
-	// scratch; only Delta's own slices (which escape to the caller) are
-	// allocated per call.
-	touched := s.scratch.touched
-	if touched == nil {
-		touched = make(map[device.Addr]bool)
-		s.scratch.touched = touched
-	}
-	clear(touched)
-	for i := len(s.journal) - 1; i >= 0 && s.journal[i].gen > gen; i-- {
-		touched[s.journal[i].addr] = true
-	}
-	if len(touched) > phproto.MaxEntries {
-		// A journal larger than the wire's entry cap (Config.JournalLimit
-		// above phproto.MaxEntries) can cover windows no frame could
-		// carry; serve FULL rather than an undecodable delta.
-		return Delta{}, false
-	}
-	addrs := s.scratch.addrs[:0]
-	for a := range touched {
-		addrs = append(addrs, a)
-	}
-	slices.SortFunc(addrs, func(a, b device.Addr) int {
-		if a.Less(b) {
-			return -1
-		}
-		if b.Less(a) {
-			return 1
-		}
-		return 0
-	})
-	s.scratch.addrs = addrs
-	for _, a := range addrs {
-		if e, ok := s.entries[a]; ok {
-			if en, ok := wireEntryOf(e); ok {
-				en.Info = en.Info.Clone()
-				delta.Entries = append(delta.Entries, en)
-				continue
-			}
-		}
-		delta.Tombstones = append(delta.Tombstones, a)
-	}
-	return delta, true
+	return rows
 }
 
 // SyncResponse answers a versioned neighbourhood fetch: a DELTA when the
-// epoch matches and the journal covers the requested generation, otherwise
-// a FULL table. The daemon's responder calls it directly unless a load
-// penalty skews its advertised entries (then it builds phproto.FullSync
-// over the penalised rows itself).
+// epoch matches and the requested generation is inside the delta window,
+// otherwise a FULL table. Both carry the cached row bytes. The daemon's
+// responder calls it directly unless a load penalty skews its advertised
+// entries (then it builds phproto.FullSync over the penalised rows itself).
 //
 // extended states whether the fetcher negotiated the sibling-carrying
 // entry form. A fetcher that did not cannot decode extended entries, and
@@ -1115,13 +1113,14 @@ func (s *Storage) deltaLocked(gen uint64) (Delta, bool) {
 // concurrent sibling adoption cannot slip an extended entry into a
 // legacy-form answer.
 func (s *Storage) SyncResponse(epoch, gen uint64, extended bool) *phproto.NeighborhoodSync {
-	// Write lock: deltaLocked uses the mu-guarded scratch (see
-	// WireEntriesSince).
+	// Write lock: the row selection uses the mu-guarded scratch. Responders
+	// serve one sync at a time per connection, so the lost read-side
+	// sharing is noise next to the per-request garbage it removes.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !extended {
-		for addr := range s.wireHash {
-			if e, ok := s.entries[addr]; ok && len(e.Info.Siblings) > 0 {
+		for _, p := range s.published {
+			if len(p.e.Info.Siblings) > 0 {
 				entries := phproto.StripSiblings(s.wireEntriesLocked())
 				if len(entries) > phproto.MaxEntries {
 					entries = entries[:phproto.MaxEntries]
@@ -1132,42 +1131,74 @@ func (s *Storage) SyncResponse(epoch, gen uint64, extended bool) *phproto.Neighb
 		}
 	}
 	if epoch == s.epoch {
-		if delta, ok := s.deltaLocked(gen); ok {
+		if resp, ok := s.deltaLocked(gen); ok {
 			s.syncServedDelta.Inc()
-			return &phproto.NeighborhoodSync{
-				Epoch:       s.epoch,
-				FromGen:     delta.FromGen,
-				ToGen:       delta.ToGen,
-				Entries:     delta.Entries,
-				Tombstones:  delta.Tombstones,
-				DigestCount: uint32(len(s.wireHash)),
-				DigestHash:  s.digestHash,
-			}
+			return resp
 		}
 	}
-	entries := s.wireEntriesLocked()
-	if len(entries) > phproto.MaxEntries {
+	s.syncServedFull.Inc()
+	sel := s.changedSinceLocked(0)
+	if len(sel) > phproto.MaxEntries {
 		// A table beyond the wire's entry cap cannot be transmitted whole
 		// (deltaLocked refuses over-cap windows for the same reason).
 		// Serve the deterministic prefix as an unsyncable epoch-0
 		// snapshot — the load-penalty convention — so the peer keeps a
 		// partial view instead of choking on an undecodable frame.
-		s.syncServedFull.Inc()
-		return phproto.FullSync(0, 0, entries[:phproto.MaxEntries])
+		sel = sel[:phproto.MaxEntries]
+		var hash uint64
+		for _, e := range sel {
+			hash ^= e.row.hash
+		}
+		return &phproto.NeighborhoodSync{Full: true, Rows: rowsOf(sel), DigestCount: uint32(len(sel)), DigestHash: hash}
 	}
 	// The incremental digest equals DigestOf over the transmitted table
 	// (the reconstruction property test checks this every step), so the
-	// FULL fallback need not re-hash every entry the way the daemon's
+	// FULL answer need not re-hash every entry the way the daemon's
 	// load-penalty path — whose advertised entries are skewed — must.
-	s.syncServedFull.Inc()
 	return &phproto.NeighborhoodSync{
 		Full:        true,
 		Epoch:       s.epoch,
 		ToGen:       s.gen,
-		Entries:     entries,
-		DigestCount: uint32(len(s.wireHash)),
+		Rows:        rowsOf(sel),
+		DigestCount: uint32(len(s.published)),
 		DigestHash:  s.digestHash,
 	}
+}
+
+// deltaLocked builds the DELTA from generation since: the rows stamped
+// after it and the tombstones logged after it, both in address order. ok
+// is false when since is outside the window (below the floor, or from
+// another epoch's future) or the change does not fit one frame.
+func (s *Storage) deltaLocked(since uint64) (*phproto.NeighborhoodSync, bool) {
+	if since < s.floor || since > s.gen {
+		return nil, false
+	}
+	var sel []*Entry
+	var tombs []device.Addr
+	if since < s.gen {
+		sel = s.changedSinceLocked(since)
+		for a, g := range s.tombs {
+			if g > since {
+				tombs = append(tombs, a)
+			}
+		}
+		if len(sel)+len(tombs) > phproto.MaxEntries {
+			// A window larger than the wire's entry cap (Config.JournalLimit
+			// above phproto.MaxEntries) can cover changes no frame could
+			// carry; serve FULL rather than an undecodable delta.
+			return nil, false
+		}
+		sort.Slice(tombs, func(i, j int) bool { return tombs[i].Less(tombs[j]) })
+	}
+	return &phproto.NeighborhoodSync{
+		Epoch:       s.epoch,
+		FromGen:     since,
+		ToGen:       s.gen,
+		Rows:        rowsOf(sel),
+		Tombstones:  tombs,
+		DigestCount: uint32(len(s.published)),
+		DigestHash:  s.digestHash,
+	}, true
 }
 
 // AlternateRoutes returns every candidate route to a, best first,
@@ -1298,21 +1329,16 @@ func (s *Storage) AlternateRoutesByIdentity(a device.Addr, excludeBridge device.
 // putRouteLocked installs route as the candidate for its first hop,
 // keeping Routes sorted best-first and capped at MaxAlternates.
 func (s *Storage) putRouteLocked(e *Entry, route Route) {
-	kept := e.Routes[:0]
-	for _, r := range e.Routes {
-		if r.Bridge == route.Bridge {
-			continue // replaced by the fresh report for this first hop
-		}
-		kept = append(kept, r)
-	}
-	e.Routes = append(kept, route)
+	// The fresh report for this first hop replaces the stored one.
+	e.dropRoutes(func(r *Route) bool { return r.Bridge == route.Bridge })
+	e.Routes = append(e.Routes, route)
 	if !route.Direct() {
 		e.forgetEvictedVia(route.Bridge)
 	}
 	s.resortLocked(e)
 	if len(e.Routes) > s.cfg.MaxAlternates {
-		for _, r := range e.Routes[s.cfg.MaxAlternates:] {
-			if !r.Direct() {
+		for i := s.cfg.MaxAlternates; i < len(e.Routes); i++ {
+			if r := &e.Routes[i]; !r.isDirect() {
 				e.noteEvictedVia(r.Bridge)
 			}
 		}
@@ -1323,15 +1349,18 @@ func (s *Storage) putRouteLocked(e *Entry, route Route) {
 // removeEntryLocked drops a device that ran out of routes, remembering
 // which bridges' capacity-evicted routes could have kept it reachable.
 // The Entry box is recycled onto the free list: its descriptor is zeroed
-// (so the GC can reclaim the old services) but the Routes and evictedVia
-// backing arrays are kept for the next add.
+// (so the GC can reclaim the old services) but the Routes, evictedVia and
+// row backing arrays are kept for the next add.
 func (s *Storage) removeEntryLocked(addr device.Addr, e *Entry) {
 	for _, b := range e.evictedVia {
 		s.evicted[b] = true
 	}
 	s.dropIdentityLocked(addr, e.id)
 	delete(s.entries, addr)
-	*e = Entry{Routes: e.Routes[:0], evictedVia: e.evictedVia[:0]}
+	if e.row != nil {
+		*e.row = wireRow{buf: e.row.buf[:0]}
+	}
+	*e = Entry{Routes: e.Routes[:0], evictedVia: e.evictedVia[:0], row: e.row}
 	if len(s.free) < maxFreeEntries {
 		s.free = append(s.free, e)
 	}
@@ -1375,7 +1404,7 @@ func (s *Storage) TakeEvictedBridges(tech device.Tech) []device.Addr {
 func (s *Storage) resortLocked(e *Entry) {
 	rs := e.Routes
 	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && s.better(rs[j], rs[j-1]); j-- {
+		for j := i; j > 0 && s.better(&rs[j], &rs[j-1]); j-- {
 			rs[j], rs[j-1] = rs[j-1], rs[j]
 		}
 	}
@@ -1385,8 +1414,9 @@ func (s *Storage) resortLocked(e *Entry) {
 // to the lower (more static) first-hop mobility; then to routes whose every
 // hop clears the quality threshold (fig 3.9's equity rule); finally to the
 // higher quality sum (§3.4.1). With QualityFirst the mobility and quality
-// criteria swap places (ablation A1).
-func (s *Storage) better(a, b Route) bool {
+// criteria swap places (ablation A1). It takes pointers: a Route is large
+// enough that copying two per comparison showed in the route re-sort.
+func (s *Storage) better(a, b *Route) bool {
 	if a.Jumps != b.Jumps {
 		return a.Jumps < b.Jumps
 	}
@@ -1412,7 +1442,7 @@ func (s *Storage) better(a, b Route) bool {
 
 // CompareRoutes exposes the route ordering for other packages (handover
 // picks "the best quality way", fig 5.5 state 0).
-func (s *Storage) CompareRoutes(a, b Route) bool { return s.better(a, b) }
+func (s *Storage) CompareRoutes(a, b Route) bool { return s.better(&a, &b) }
 
 // String renders the storage as the thesis' fig 3.6 table for debugging
 // and the experiment harness.
